@@ -92,7 +92,7 @@ def cell_outcome(protocol: str, label: str, session,
     lease = session.lease_duration if session is not None else 0.0
     bound = None
     if lease > 0:
-        bound = lease + result.cluster.config.liveness_bound
+        bound = lease + result.liveness_bound
     return {
         "protocol": protocol,
         "label": label,

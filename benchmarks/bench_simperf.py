@@ -19,24 +19,24 @@ stands on.  This bench measures two experiment groups:
   with the fingerprints of both paths compared entry by entry: the
   parallel engine must change *nothing* but the wall-clock.
 
-**E16** (flat event core + macro-event delivery, new in this PR):
+**E16** (flat event core + fan-out event cost):
 
 * **churn best-of-N** — the same churn workload, warmed up and run
-  ``churn_reps`` times reporting the best wall-clock; compared against
-  the kernel-churn rate recorded at the PR-4 tag (``PR4_CHURN_RATE``).
-  The dispatch count is closed-form (``3·pairs·msgs + 4·pairs``) and
-  pinned by ``--check``, so any kernel change that adds, drops, or
-  reorders a dispatch fails CI deterministically.
-* **macro delivery** — the E13 vp spec run unbatched and with
-  ``batch_window > 0``: in batched mode every network envelope drains
-  through the destination's inline handler as ONE kernel dispatch
-  (``macro_wakeups == envelopes``), so dispatched-event counts drop
-  even though per-message ``delivered`` counts and traces are intact.
+  ``churn_reps`` times reporting the best wall-clock.  The dispatch
+  count is closed-form (``3·pairs·msgs + 4·pairs``) and pinned by
+  ``--check``, so any kernel change that adds, drops, or reorders a
+  dispatch fails CI deterministically.
+* **events per message** — kernel dispatches per logical message on
+  the E13 vp spec, unbatched and with ``batch_window > 0``.  A message
+  costs its delivery; fan-out replies, request handlers and collection
+  windows add no wakeups of their own beyond one per call, so the
+  unbatched run stays near two events per message.  In batched mode
+  each envelope costs its flush timer plus its delivery.
 
 Wall-clock numbers are hardware-dependent; the deterministic side
-(dispatched-event counts, fingerprint equality, macro-wakeup
-invariants) is what CI's ``bench-simperf`` job asserts on
-(``--check``), so it cannot flake on a loaded runner.
+(dispatched-event counts, events per message, fingerprint equality) is
+what CI's ``bench-simperf`` job asserts on (``--check``), so it cannot
+flake on a loaded runner.
 """
 
 from __future__ import annotations
@@ -57,12 +57,11 @@ from _shared import bench_main, emit_metrics, report
 CHURN_PAIRS = 50
 CHURN_MSGS = 1200
 CHURN_REPS = 3
-#: kernel-churn events/sec recorded in EXPERIMENTS.md E13 at the PR-4
-#: tag (same container class; re-measuring that tag on today's hardware
-#: gives ~277k — both comparators are reported in EXPERIMENTS.md E16).
-PR4_CHURN_RATE = 205_000.0
 VP_DURATION = 1000.0
-MACRO_WINDOW = 0.05
+BATCH_WINDOW = 0.05
+#: ``--check`` gate: kernel dispatches per logical message on the
+#: unbatched E13 vp spec
+MAX_EVENTS_PER_MSG = 2.2
 SWEEP_SEEDS = tuple(range(1, 9))
 SWEEP_DURATION = 200.0
 WORKERS = 4
@@ -144,6 +143,12 @@ def churn_best(pairs: int, msgs: int, reps: int):
     return dispatched, best
 
 
+def events_per_msg(result) -> float:
+    """Kernel dispatches per logical message of one run."""
+    sent = result.network["sent"]
+    return result.events_dispatched / sent if sent else 0.0
+
+
 def _vp_spec(duration: float, seed: int = 3) -> ExperimentSpec:
     """A message-heavy VP experiment: write-heavy mix, short
     interarrivals, two clients per processor."""
@@ -191,18 +196,13 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
     # -- E16: flat-core churn, best-of-N ---------------------------------
     flat_events, flat_wall = churn_best(churn_pairs, churn_msgs, churn_reps)
     flat_rate = flat_events / flat_wall if flat_wall else 0.0
-    flat_speedup = flat_rate / PR4_CHURN_RATE if PR4_CHURN_RATE else 0.0
 
-    # -- E16: macro-event delivery (batched vs unbatched vp) -------------
+    # -- E16: fan-out event cost (unbatched vs batched vp) ---------------
     batched_spec = replace(_vp_spec(vp_duration),
-                           config=ProtocolConfig(batch_window=MACRO_WINDOW))
+                           config=ProtocolConfig(batch_window=BATCH_WINDOW))
     batched = run_experiment(batched_spec)
-    macro_wakeups = batched.network.get("macro_wakeups", 0)
-    macro_envelopes = batched.network.get("envelopes", 0)
-    dispatch_savings = (
-        1.0 - batched.events_dispatched / vp.events_dispatched
-        if vp.events_dispatched else 0.0
-    )
+    vp_per_msg = events_per_msg(vp)
+    batched_per_msg = events_per_msg(batched)
 
     report(render_table(
         ["workload", "events", "wall (s)", "events/sec"],
@@ -221,36 +221,34 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
               f"{speedup:.2f}x, outputs byte-identical)",
     ))
     report(render_table(
-        ["workload", "dispatched", "wall (s)", "events/sec", "note"],
+        ["workload", "dispatched", "messages", "envelopes",
+         "events/msg", "wall (s)", "events/sec"],
         [
-            [f"churn best-of-{max(1, churn_reps)}", flat_events,
-             f"{flat_wall:.3f}", f"{flat_rate:,.0f}",
-             f"{flat_speedup:.2f}x vs PR-4 recorded"],
-            ["vp unbatched", vp.events_dispatched,
-             f"{vp.wall_seconds:.3f}", f"{vp_rate:,.0f}",
-             "macro_wakeups=0"],
-            [f"vp batch_window={MACRO_WINDOW}", batched.events_dispatched,
-             f"{batched.wall_seconds:.3f}",
-             f"{batched.events_per_sec:,.0f}",
-             f"{macro_wakeups} wakeups / {macro_envelopes} envelopes, "
-             f"dispatches -{dispatch_savings:.0%}"],
+            [f"churn best-of-{max(1, churn_reps)}", flat_events, "-", "-",
+             "-", f"{flat_wall:.3f}", f"{flat_rate:,.0f}"],
+            ["vp unbatched", vp.events_dispatched, vp.network["sent"],
+             vp.network["envelopes"], f"{vp_per_msg:.2f}",
+             f"{vp.wall_seconds:.3f}", f"{vp_rate:,.0f}"],
+            [f"vp batch_window={BATCH_WINDOW}", batched.events_dispatched,
+             batched.network["sent"], batched.network["envelopes"],
+             f"{batched_per_msg:.2f}", f"{batched.wall_seconds:.3f}",
+             f"{batched.events_per_sec:,.0f}"],
         ],
-        title="E16  Flat event core + macro-event delivery "
+        title="E16  Flat event core + fan-out event cost "
               f"(churn dispatch count pinned at "
-              f"{churn_dispatches(churn_pairs, churn_msgs)})",
+              f"{churn_dispatches(churn_pairs, churn_msgs)}, "
+              f"gate {MAX_EVENTS_PER_MSG} events/msg)",
     ))
     emit_metrics("simperf", {
         "kernel.events": churn_events,
         "kernel.events_per_sec": churn_rate,
         "kernel.flat.events_per_sec": flat_rate,
-        "kernel.flat.speedup_vs_pr4": flat_speedup,
         "vp.events": vp.events_dispatched,
         "vp.events_per_sec": vp_rate,
-        "macro.unbatched_dispatched": vp.events_dispatched,
-        "macro.batched_dispatched": batched.events_dispatched,
-        "macro.wakeups": macro_wakeups,
-        "macro.envelopes": macro_envelopes,
-        "macro.dispatch_savings": dispatch_savings,
+        "vp.events_per_msg": vp_per_msg,
+        "batched.events": batched.events_dispatched,
+        "batched.envelopes": batched.network["envelopes"],
+        "batched.events_per_msg": batched_per_msg,
         "sweep.runs": len(specs),
         "sweep.events": sweep_events,
         "sweep.serial_seconds": serial_wall,
@@ -274,8 +272,8 @@ def run(churn_pairs: int = CHURN_PAIRS, churn_msgs: int = CHURN_MSGS,
 def check(results: dict) -> None:
     """Deterministic assertions only — CI's flake-proof smoke entry.
 
-    Pins dispatched-event counts (closed-form churn formula, macro
-    wakeup==envelope identity) and compares serial/parallel
+    Pins dispatched-event counts (closed-form churn formula, the
+    events-per-message gate) and compares serial/parallel
     fingerprints; never asserts on wall time.
     """
     pairs, msgs = results["churn_shape"]
@@ -286,17 +284,12 @@ def check(results: dict) -> None:
     assert flat_events == expected, (flat_events, expected)
     vp = results["vp"]
     assert vp.events_dispatched > 0 and vp.committed > 0
-    assert vp.network.get("macro_wakeups", 0) == 0
+    # a message costs about one kernel event: its delivery, plus at
+    # most one wakeup per fan-out call or spawned request handler
+    assert events_per_msg(vp) <= MAX_EVENTS_PER_MSG, (
+        vp.events_dispatched, vp.network["sent"])
     batched = results["batched"]
     assert batched.committed > 0
-    wakeups = batched.network.get("macro_wakeups", 0)
-    envelopes = batched.network.get("envelopes", 0)
-    assert wakeups == envelopes > 0, (wakeups, envelopes)
-    # every batched envelope drains inline instead of scheduling a
-    # wakeup per message, so the batched run must dispatch fewer events
-    assert batched.events_dispatched < vp.events_dispatched, (
-        batched.events_dispatched, vp.events_dispatched,
-    )
     # run() already raised if any serial/parallel fingerprint differed;
     # re-derive the comparison here so --check is self-contained
     for a, b in zip(results["serial"], results["parallel"]):

@@ -49,6 +49,25 @@ class LockRequest(Event):
             super().cancel()
 
 
+class Granted:
+    """An immediate grant: already triggered, never scheduled.
+
+    Nobody waits on a lock granted at request time, so handing out a
+    kernel event for it would only cost a no-op dispatch.  Callers test
+    ``triggered``, as they would on a :class:`LockRequest`.
+    """
+
+    __slots__ = ()
+    triggered = True
+
+    def __repr__(self) -> str:
+        return "<lock granted>"
+
+
+#: the shared result of every immediate grant
+GRANTED = Granted()
+
+
 @dataclass
 class _LockState:
     holders: Dict[Any, str] = field(default_factory=dict)
@@ -78,33 +97,33 @@ class LockManager:
 
     # -- acquisition ------------------------------------------------------------
 
-    def acquire(self, txn: Any, obj: str, mode: str) -> LockRequest:
+    def acquire(self, txn: Any, obj: str,
+                mode: str) -> LockRequest | Granted:
         """Request a lock; the returned event fires when granted.
 
         Already-granted cases (re-entrant holds, S under an existing X
-        by the same transaction, immediate compatibility) fire at the
-        current instant.
+        by the same transaction, immediate compatibility) return
+        :data:`GRANTED` instead, which is triggered from the start and
+        costs the kernel nothing.
         """
         if mode not in (SHARED, EXCLUSIVE):
             raise ValueError(f"unknown lock mode {mode!r}")
         state = self._table.setdefault(obj, _LockState())
-        request = LockRequest(self, obj, txn, mode)
 
         held = state.holders.get(txn)
         if held == EXCLUSIVE or held == mode:
             # Re-entrant: X covers S; same mode is a no-op.
-            request.succeed(True)
-            return request
+            return GRANTED
         if held == SHARED and mode == EXCLUSIVE:
             if len(state.holders) == 1 and not state.queue:
                 state.holders[txn] = EXCLUSIVE
                 self.grants += 1
                 if self.tracer is not None:
                     self._emit("lock.grant", obj, txn, EXCLUSIVE)
-                request.succeed(True)
-                return request
+                return GRANTED
             # Upgrade must wait at the front (it beats new requests but
             # cannot bypass already-queued ones without risking starvation).
+            request = LockRequest(self, obj, txn, mode)
             state.queue.insert(0, request)
             self.waits += 1
             if self.tracer is not None:
@@ -115,8 +134,8 @@ class LockManager:
             self.grants += 1
             if self.tracer is not None:
                 self._emit("lock.grant", obj, txn, mode)
-            request.succeed(True)
-            return request
+            return GRANTED
+        request = LockRequest(self, obj, txn, mode)
         state.queue.append(request)
         self.waits += 1
         if self.tracer is not None:

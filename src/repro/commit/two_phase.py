@@ -176,7 +176,7 @@ class TwoPhaseCommit(AtomicCommit):
     # ------------------------------------------------------------------
 
     def handlers(self) -> Mapping[str, Callable]:
-        """2PC's mailbox set, in the dispatcher's historical poll order."""
+        """2PC's participant-side request kinds."""
         return {
             "prepare": self._handle_prepare,
             "release": self._handle_release,
@@ -278,9 +278,11 @@ class TwoPhaseCommit(AtomicCommit):
         A normally-delivered decide resolves the transaction while we
         retry; the loop notices and stops.
         """
-        coordinator = self.in_doubt[txn]
         retry = self.config.access_timeout
         try:
+            # A decide handled in the resolver's spawn instant may have
+            # resolved the transaction before this process first runs.
+            coordinator = self.in_doubt.get(txn)
             while txn in self.in_doubt:
                 try:
                     response = yield from self.processor.rpc(

@@ -209,39 +209,19 @@ class AccessMixin:
     # server side: Fig. 12 — Physical-Access
     # ------------------------------------------------------------------
 
-    def serve_physical_access(self):
-        """Dispatcher task: one handler process per incoming request.
+    def serve_physical_access(self) -> None:
+        """Register the request handlers: one process per access.
 
-        Reads and writes are the host's; everything else comes from
-        the commit backend's ``handlers()`` map, whose registration
-        order fixes both mailbox creation and polling order (the 2PC
-        backend reproduces the historical prepare/release/txn-status
-        sequence exactly — the golden trace pin depends on it).
+        Reads and writes are the host's (each spawns a handler process,
+        since it may wait on the R5 gate and its lock); everything else
+        comes from the commit backend's ``handlers()`` map, whose
+        handlers answer inline or spawn their own processes.
         """
-        read_box = self.processor.mailbox("read")
-        write_box = self.processor.mailbox("write")
-        commit_handlers = dict(self.commit.handlers())
-        commit_boxes = {kind: self.processor.mailbox(kind)
-                        for kind in commit_handlers}
-        while True:
-            gets = {
-                "read": read_box.get(),
-                "write": write_box.get(),
-            }
-            for kind, box in commit_boxes.items():
-                gets[kind] = box.get()
-            fired = yield self.sim.any_of(list(gets.values()))
-            for kind, get in gets.items():
-                if get in fired:
-                    message = fired[get]
-                    if kind == "read":
-                        self.processor.spawn("serve-read",
-                                             self._handle_read(message))
-                    elif kind == "write":
-                        self.processor.spawn("serve-write",
-                                             self._handle_write(message))
-                    else:
-                        commit_handlers[kind](message)
+        processor = self.processor
+        processor.serve("read", self._handle_read, process="serve-read")
+        processor.serve("write", self._handle_write, process="serve-write")
+        for kind, handler in self.commit.handlers().items():
+            processor.serve(kind, handler)
 
     def _handle_read(self, message):
         payload = message.payload

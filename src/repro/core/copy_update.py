@@ -250,13 +250,10 @@ class UpdateMixin:
     # server side: answering recovery reads
     # ------------------------------------------------------------------
 
-    def serve_vpread(self):
-        """Dispatcher for ``vpread`` requests (see module docstring)."""
-        box = self.processor.mailbox("vpread")
-        while True:
-            message = yield box.get()
-            self.processor.spawn("vpread-handler",
-                                 self._handle_vpread(message))
+    def serve_vpread(self) -> None:
+        """Serve ``vpread`` requests (see module docstring)."""
+        self.processor.serve("vpread", self._handle_vpread,
+                             process="vpread-handler")
 
     def _handle_vpread(self, message):
         payload = message.payload
@@ -336,27 +333,18 @@ class UpdateMixin:
     # ------------------------------------------------------------------
     # server side: migration control (reshard engine only)
     # ------------------------------------------------------------------
-    # These handlers are dispatched by a task the reshard engine
-    # registers explicitly (``serve_reshard``); a cluster that never
-    # reshards neither creates the mailboxes nor runs the task, keeping
-    # default runs byte-identical to the golden trace.
+    # The reshard engine registers these handlers explicitly
+    # (``serve_reshard``); a cluster that never reshards never serves
+    # the migration kinds.
 
-    def serve_reshard(self):
-        """Dispatcher for the migration engine's control messages."""
-        kinds = ("reshard-gate", "reshard-install", "reshard-release")
-        boxes = {kind: self.processor.mailbox(kind) for kind in kinds}
-        handlers = {
-            "reshard-gate": self._handle_reshard_gate,
-            "reshard-install": self._handle_reshard_install,
-            "reshard-release": self._handle_reshard_release,
-        }
-        while True:
-            gets = {kind: boxes[kind].get() for kind in kinds}
-            fired = yield self.sim.any_of(list(gets.values()))
-            for kind, get in gets.items():
-                if get in fired:
-                    self.processor.spawn(f"{kind}-handler",
-                                         handlers[kind](fired[get]))
+    def serve_reshard(self) -> None:
+        """Serve the migration engine's control messages, one handler
+        process per request."""
+        for kind, handler in (
+                ("reshard-gate", self._handle_reshard_gate),
+                ("reshard-install", self._handle_reshard_install),
+                ("reshard-release", self._handle_reshard_release)):
+            self.processor.serve(kind, handler, process=f"{kind}-handler")
 
     def _handle_reshard_gate(self, message):
         """Write-gate the local copy and report its freshness.

@@ -109,9 +109,9 @@ class VirtualPartitionProtocol(CreationMixin, MonitorMixin, ProbesMixin,
         self.processor.add_task("monitor-vp-creations",
                                 self.monitor_vp_creations)
         self.processor.add_task("send-probes", self.send_probes)
-        self.processor.add_task("monitor-probes", self.monitor_probes)
-        self.processor.add_task("physical-access", self.serve_physical_access)
-        self.processor.add_task("serve-vpread", self.serve_vpread)
+        self.processor.serve("probe", self.monitor_probes)
+        self.serve_physical_access()
+        self.serve_vpread()
         self.processor.on_crash(self._on_crash)
         self.processor.on_recover(self._on_recover)
 

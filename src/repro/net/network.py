@@ -35,19 +35,14 @@ upper bound, so every protocol timer derived from it remains sound.
 ``batch_window = 0`` (the default) preserves the unbatched behavior
 exactly, draw for draw.
 
-**Macro-event delivery**: in batched mode an envelope is also *drained*
-as one kernel wakeup.  A destination that registered an inline handler
-(see :meth:`register`) has every carried message pushed through it
-within the envelope's single dispatch — waiter wakeups happen via
-:meth:`~repro.sim.kernel.Simulator.fire_inline` instead of costing one
-scheduled event each — so an n-message envelope is one dispatch, not
-1 + n.  Per-message accounting is unchanged: ``delivered`` increments
-and ``msg.recv`` trace events are emitted message by message, in carry
-order, at the envelope's arrival instant.  A ``StopSimulation`` raised
-by a waiter mid-drain is held until the remaining messages have been
-drained (stopping a run must not eat messages), then re-raised.  The
-unbatched path never uses inline delivery, keeping the default
-configuration byte-identical.
+Delivery hands each carried message to the destination's registered
+handler in carry order, all within the envelope's single kernel
+dispatch, so an n-message envelope costs one delivery dispatch; the
+processor runtime routes replies and requests from there without a
+wakeup event per message (see :mod:`repro.node.processor`).
+Per-message accounting is unchanged: ``delivered`` increments and
+``msg.recv`` trace events are emitted message by message, at the
+envelope's arrival instant.
 
 Everything is counted in :class:`NetworkStats` — logical messages
 *and* physical envelopes — so the benchmark harness can report message
@@ -61,7 +56,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim import Simulator, StopSimulation
+from ..sim import Simulator
 from .latency import LatencyModel
 from .message import Message
 from .topology import CommGraph
@@ -93,9 +88,6 @@ class NetworkStats:
     envelopes: int = 0
     #: logical messages carried by those envelopes
     enveloped_messages: int = 0
-    #: envelopes drained through an inline handler as a single kernel
-    #: wakeup (macro-event delivery; batched mode only)
-    macro_wakeups: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -117,7 +109,6 @@ class NetworkStats:
             "slow": self.slow,
             "envelopes": self.envelopes,
             "batch_occupancy": self.batch_occupancy,
-            "macro_wakeups": self.macro_wakeups,
             "by_kind": dict(self.by_kind),
         }
 
@@ -156,9 +147,6 @@ class Network:
         self._link_surge: Dict[Tuple[int, int], float] = {}
         self._link_dup: Dict[Tuple[int, int], float] = {}
         self._handlers: dict[int, DeliveryHandler] = {}
-        # macro-event drains (batched mode): per-destination handlers
-        # that wake waiters inside the envelope's own dispatch
-        self._inline_handlers: dict[int, DeliveryHandler] = {}
         # per-network message ids: two clusters built in one process
         # must see identical id streams for the same seed (a process-
         # global counter would break back-to-back determinism)
@@ -227,23 +215,11 @@ class Network:
         return (set(self._link_loss) | set(self._link_surge)
                 | set(self._link_dup))
 
-    def register(self, pid: int, handler: DeliveryHandler,
-                 inline: Optional[DeliveryHandler] = None) -> None:
-        """Attach the delivery callback for processor ``pid``.
-
-        ``inline``, if given, is the macro-event variant: it must wake
-        any waiter *within the current dispatch* (``fire_inline`` /
-        ``put_inline``) rather than scheduling wakeup events.  It is
-        only ever used in batched mode (``batch_window > 0``); without
-        it a batched destination falls back to ``handler`` per message.
-        """
+    def register(self, pid: int, handler: DeliveryHandler) -> None:
+        """Attach the delivery callback for processor ``pid``."""
         if pid not in self.graph.nodes:
             raise KeyError(f"unknown processor {pid}")
         self._handlers[pid] = handler
-        if inline is not None:
-            self._inline_handlers[pid] = inline
-        else:
-            self._inline_handlers.pop(pid, None)
 
     def send(self, message: Message) -> None:
         """Put ``message`` in flight; delivery (or loss) is resolved later."""
@@ -343,11 +319,6 @@ class Network:
             for message in batch:
                 self._trace_drop(message, "dst-down")
             return
-        if self.batch_window > 0.0:
-            inline = self._inline_handlers.get(first.dst)
-            if inline is not None:
-                self._drain(batch, inline)
-                return
         for message in batch:
             self.stats.delivered += 1
             if self.tracer is not None:
@@ -358,35 +329,6 @@ class Network:
                     latency=self.sim.now - message.sent_at,
                 )
             handler(message)
-
-    def _drain(self, batch: Tuple[Message, ...], inline: DeliveryHandler) -> None:
-        """Macro-event drain: push every carried message through the
-        destination's inline handler within the current dispatch.
-
-        Per-message accounting (``delivered``, ``msg.recv``) is
-        identical to the classic path.  A ``StopSimulation`` escaping a
-        woken waiter is held until the drain completes — halting the
-        run must not drop the rest of the envelope — then re-raised so
-        ``run()`` still returns at this instant.
-        """
-        self.stats.macro_wakeups += 1
-        stop: Optional[StopSimulation] = None
-        for message in batch:
-            self.stats.delivered += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "msg.recv", pid=message.dst, src=message.src,
-                    kind=message.kind,
-                    seq=self._trace_seq.get(id(message), -1),
-                    latency=self.sim.now - message.sent_at,
-                )
-            try:
-                inline(message)
-            except StopSimulation as exc:
-                if stop is None:
-                    stop = exc
-        if stop is not None:
-            raise stop
 
     def _trace_drop(self, message: Message, reason: str) -> None:
         if self.tracer is not None:

@@ -2,10 +2,15 @@
 
 A :class:`Processor` owns:
 
-* typed mailboxes — one FIFO per message kind, fed by the network;
-* an RPC helper implementing the paper's ``send ... receive ...
-  [no-response: ...]`` pattern (Figs. 9–11) with reply matching and a
-  timeout;
+* request servers — ``serve(kind, handler)`` routes every delivered
+  ``kind`` message straight to its handler, which answers inline or
+  spawns a handler process;
+* typed mailboxes — one FIFO per message kind that has no server, for
+  tasks that ``receive`` inside their own select loops;
+* the fan-out primitives implementing the paper's ``send ... receive
+  ... [no-response: ...]`` pattern (Figs. 9–11) — ``rpc``, the scatter
+  family and ``broadcast_collect`` (see :mod:`repro.node.transport`),
+  whose replies delivery hands directly to the waiting call;
 * a task registry: protocol layers register named generator factories;
   tasks are (re)spawned on start/recover and killed on crash, matching
   the paper's model where a crash wipes all volatile state but durable
@@ -18,7 +23,7 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
 from ..net.message import Message
 from ..net.network import Network
-from ..sim import MessageQueue, Process, Simulator, Timer
+from ..sim import Event, MessageQueue, Process, Simulator
 from .storage import StorageEngine
 from .transport import (  # noqa: F401  (NoResponse re-exported)
     NoResponse, QuorumPredicate, ScatterCall, TransportStats,
@@ -44,13 +49,19 @@ class Processor:
         #: optional :class:`~repro.obs.trace.Tracer`; None = no tracing
         self.tracer = None
         self._mailboxes: Dict[str, MessageQueue] = {}
-        self._reply_waiters: Dict[int, Any] = {}
+        #: request msg_id -> callback taking the reply (every fan-out
+        #: primitive routes its replies through this one map)
+        self._reply_waiters: Dict[int, Callable[[Message], Any]] = {}
+        #: reply kind -> the open broadcast_collect window's collector,
+        #: or None between windows (stale replies are then dropped)
+        self._collectors: Dict[str, Optional[Callable[[Message], None]]] = {}
+        #: request kind -> handler, called from the delivery itself
+        self._servers: Dict[str, Callable[[Message], None]] = {}
         self._task_factories: Dict[str, TaskFactory] = {}
         self._tasks: Dict[str, Process] = {}
         self._crash_hooks: list[Callable[[], None]] = []
         self._recover_hooks: list[Callable[[], None]] = []
-        network.register(pid, self._on_delivery,
-                         inline=self._on_delivery_inline)
+        network.register(pid, self._on_delivery)
 
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
@@ -84,19 +95,30 @@ class Processor:
         Use as ``response = yield from processor.rpc(...)``.  Raises
         :class:`NoResponse` when no reply arrives within ``timeout`` —
         the caller decides whether that aborts the operation, retries
-        elsewhere, or triggers a new virtual partition.
+        elsewhere, or triggers a new virtual partition.  One waiter
+        event and one deadline timer: the reply route fires the waiter
+        from within the reply's delivery.
         """
-        request = self.send(dst, kind, payload)
-        waiter = self.sim.event(name=f"rpc#{request.msg_id}")
-        self._reply_waiters[request.msg_id] = waiter
-        tick = self.sim.timeout(timeout, name=f"rpc-timeout#{request.msg_id}")
+        msg_id = self.send(dst, kind, payload).msg_id
+        waiter = Event(self.sim)
+        waiters = self._reply_waiters
+        waiters[msg_id] = waiter.succeed
+
+        def expire(_event) -> None:
+            if not waiter.triggered:
+                waiters.pop(msg_id, None)
+                waiter.succeed(None)
+
+        deadline = self.sim.timeout(timeout)
+        deadline.callbacks = expire
         try:
-            result = yield self.sim.any_of([waiter, tick])
+            response = yield waiter
         finally:
-            self._reply_waiters.pop(request.msg_id, None)
-        if waiter in result:
-            return result[waiter]
-        raise NoResponse(dst, kind)
+            waiters.pop(msg_id, None)
+            deadline.cancel()
+        if response is None:
+            raise NoResponse(dst, kind)
+        return response
 
     def mailbox(self, kind: str) -> MessageQueue:
         """The FIFO of unconsumed ``kind`` messages (created on demand)."""
@@ -109,6 +131,23 @@ class Processor:
     def receive(self, kind: str):
         """Event firing with the next ``kind`` message."""
         return self.mailbox(kind).get()
+
+    def serve(self, kind: str, handler: Callable[[Message], Any], *,
+              process: Optional[str] = None) -> None:
+        """Route every delivered ``kind`` request to ``handler``.
+
+        The handler runs inside the delivery, so it costs no kernel
+        event of its own and answers inline.  With ``process``, the
+        handler is a generator function instead, and each request runs
+        it in a one-shot process of that name (for work that has to
+        wait).  Servers are permanent, like tasks, but delivery skips
+        them while the processor is down — a handler never runs before
+        the recover hooks have reset volatile state.
+        """
+        if kind in self._servers:
+            raise KeyError(f"kind {kind!r} already served on {self.pid}")
+        self._servers[kind] = handler if process is None else (
+            lambda message: self.spawn(process, handler(message)))
 
     # -- fan-out primitives (see node/transport.py) ---------------------------
 
@@ -177,36 +216,37 @@ class Processor:
         """Generator: one-way broadcast, then a timed collection window.
 
         The Figs. 5/7 pattern: send ``kind`` to every target, then for
-        ``window`` time units drain the ``reply_kind`` mailbox, passing
-        each message to ``accept`` — which filters (return False to
-        ignore) and may record per-arrival state (trace events,
-        responder sets) at receipt time.  Returns the accepted messages.
+        ``window`` time units hand each delivered ``reply_kind`` message
+        to ``accept`` — which filters (return False to ignore) and may
+        record per-arrival state (trace events, responder sets) at
+        receipt time.  Returns the accepted messages.  A ``reply_kind``
+        message delivered while no window is open is dropped: it
+        answers a round that is over.
         """
         self.transport.broadcasts += 1
+        collected: list[Message] = []
+
+        def collect(message: Message) -> None:
+            if accept(message):
+                collected.append(message)
+
+        self._collectors[reply_kind] = collect
         for dst in targets:
             self.send(dst, kind, payload)
-        timer = Timer(self.sim, name=f"p{self.pid}.collect-{reply_kind}")
-        timer.set(window)
-        box = self.mailbox(reply_kind)
-        collected: list[Message] = []
-        while True:
-            get = box.get()
-            tick = timer.wait()
-            fired = yield self.sim.any_of([get, tick])
-            if get in fired:
-                message = fired[get]
-                if accept(message):
-                    collected.append(message)
-            else:
-                return collected
+        try:
+            yield self.sim.timeout(window)
+        finally:
+            if self._collectors[reply_kind] is collect:
+                self._collectors[reply_kind] = None
+        return collected
 
     def _on_delivery(self, message: Message) -> None:
         if not self.alive:
             return
         if message.reply_to is not None:
-            waiter = self._reply_waiters.pop(message.reply_to, None)
-            if waiter is not None and not waiter.triggered:
-                waiter.succeed(message)
+            route = self._reply_waiters.pop(message.reply_to, None)
+            if route is not None:
+                route(message)
                 return
             # Late or duplicate reply: nobody is waiting; drop it — but
             # visibly.  A steady stream of late replies means timeouts
@@ -217,30 +257,16 @@ class Processor:
                                  src=message.src, kind=message.kind,
                                  reply_to=message.reply_to)
             return
-        self.mailbox(message.kind).put(message)
-
-    def _on_delivery_inline(self, message: Message) -> None:
-        """Macro-event variant of :meth:`_on_delivery` (batched mode).
-
-        Wakes the reply waiter / mailbox getter *within the current
-        dispatch* — ``fire_inline`` / ``put_inline`` instead of
-        scheduled wakeup events — so a whole envelope drains as one
-        kernel dispatch.  Filtering (dead processor, late replies) is
-        identical to the classic path.
-        """
-        if not self.alive:
-            return
-        if message.reply_to is not None:
-            waiter = self._reply_waiters.pop(message.reply_to, None)
-            if waiter is not None and self.sim.fire_inline(waiter, message):
+        kind = message.kind
+        handler = self._servers.get(kind)
+        if handler is None:
+            if kind not in self._collectors:
+                self.mailbox(kind).put(message)
                 return
-            self.transport.late_replies += 1
-            if self.tracer is not None:
-                self.tracer.emit("msg.late-reply", pid=self.pid,
-                                 src=message.src, kind=message.kind,
-                                 reply_to=message.reply_to)
-            return
-        self.mailbox(message.kind).put_inline(message)
+            handler = self._collectors[kind]
+            if handler is None:
+                return  # no window open: it answers a finished round
+        handler(message)
 
     # -- task management ----------------------------------------------------------
 

@@ -36,8 +36,13 @@ class BaselineServerMixin:
         self._poisoned_txns: set = set()
 
     def _attach_server(self) -> None:
-        self.processor.add_task("physical-access", self._serve_requests)
-        self.processor.on_crash(self._server_on_crash)
+        processor = self.processor
+        processor.serve("read", self._serve_read, process="serve-read")
+        processor.serve("write", self._serve_write, process="serve-write")
+        processor.serve("prepare", self._serve_prepare)
+        processor.serve("release", lambda message: self._apply_decision(
+            message.payload["txn"], message.payload["outcome"]))
+        processor.on_crash(self._server_on_crash)
 
     def _server_on_crash(self) -> None:
         for txn in sorted(self._before_images, key=repr):
@@ -48,32 +53,8 @@ class BaselineServerMixin:
         self.cc = make_cc(self.config, self.sim, label=f"p{self.pid}.cc")
 
     # ------------------------------------------------------------------
-    # server loop
+    # request handlers
     # ------------------------------------------------------------------
-
-    def _serve_requests(self):
-        boxes = {
-            kind: self.processor.mailbox(kind)
-            for kind in ("read", "write", "prepare", "release")
-        }
-        while True:
-            gets = {kind: box.get() for kind, box in boxes.items()}
-            fired = yield self.sim.any_of(list(gets.values()))
-            for kind, get in gets.items():
-                if get not in fired:
-                    continue
-                message = fired[get]
-                if kind == "read":
-                    self.processor.spawn("serve-read",
-                                         self._serve_read(message))
-                elif kind == "write":
-                    self.processor.spawn("serve-write",
-                                         self._serve_write(message))
-                elif kind == "prepare":
-                    self._serve_prepare(message)
-                else:
-                    self._apply_decision(message.payload["txn"],
-                                         message.payload["outcome"])
 
     def _serve_read(self, message):
         payload = message.payload

@@ -49,7 +49,7 @@ class MissingWritesProtocol(QuorumProtocol):
 
     def attach(self) -> None:
         super().attach()
-        self.processor.add_task("mw-notes", self._serve_notes)
+        self.processor.serve("mw-note", self._serve_note)
         self.processor.add_task("mw-repair", self._repair_loop)
 
     # ------------------------------------------------------------------
@@ -161,16 +161,13 @@ class MissingWritesProtocol(QuorumProtocol):
                     "obj": obj, "missing": sorted(entry), "clear": False,
                 })
 
-    def _serve_notes(self):
-        box = self.processor.mailbox("mw-note")
-        while True:
-            message = yield box.get()
-            obj = message.payload["obj"]
-            if message.payload["clear"]:
-                self._missing.pop(obj, None)
-            else:
-                self._note_missing(obj, set(message.payload["missing"]),
-                                   broadcast=False)
+    def _serve_note(self, message) -> None:
+        obj = message.payload["obj"]
+        if message.payload["clear"]:
+            self._missing.pop(obj, None)
+        else:
+            self._note_missing(obj, set(message.payload["missing"]),
+                               broadcast=False)
 
     def _repair_loop(self):
         """Push missed values to lagging copies; broadcast the all-clear."""

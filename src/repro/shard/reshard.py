@@ -121,8 +121,7 @@ class ReshardEngine:
 
     Built by the experiment runner when a spec carries reshard actions;
     a cluster that never reshards never constructs one (and never
-    creates the reshard mailboxes or tasks), keeping default runs
-    byte-identical to the golden trace.
+    serves the migration control messages).
     """
 
     def __init__(self, cluster, policy, objects: Sequence[str],
@@ -157,10 +156,10 @@ class ReshardEngine:
     # -- wiring ---------------------------------------------------------------
 
     def enable(self) -> None:
-        """Register the server tasks and schedule every action.
+        """Serve the migration messages and schedule every action.
 
-        Idempotent wiring: each protocol gets a ``serve-reshard``
-        dispatcher task, each action an injector timer, and each
+        Idempotent wiring: each protocol serves the migration control
+        messages, each action gets an injector timer, and each
         coordinator a recovery hook that resumes an interrupted
         campaign from its journal.
         """
@@ -168,10 +167,7 @@ class ReshardEngine:
             return
         self._enabled = True
         for proto in self.cluster.protocols.values():
-            processor = proto.processor
-            processor.add_task("serve-reshard", proto.serve_reshard)
-            if self.cluster._started and processor.alive:
-                processor.start()
+            proto.serve_reshard()
         hooked = set()
         for index, action in enumerate(self.actions):
             pid = self._coordinator_of(action)

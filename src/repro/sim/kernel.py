@@ -67,7 +67,7 @@ class Simulator:
     __slots__ = ("_now", "_queue", "_ready", "_seq", "_slots", "_free",
                  "_active_process", "_pending_crashes", "_cancelled_count",
                  "_compact_min", "strict", "crashes", "dispatched",
-                 "fired_inline", "trace_hook")
+                 "trace_hook")
 
     def __init__(self, start: float = 0.0, compact_min: int = _COMPACT_MIN):
         if compact_min < 0:
@@ -97,9 +97,6 @@ class Simulator:
         #: total events dispatched by this simulator (deterministic for a
         #: seeded run; the numerator of every events/sec measurement)
         self.dispatched = 0
-        #: events fired *inside* another dispatch by macro-event
-        #: delivery (:meth:`fire_inline`) — they never touch the heap
-        self.fired_inline = 0
         #: optional dispatch hook ``(time, event) -> None`` for tracing;
         #: None (the default) costs one attribute check per step
         self.trace_hook: Optional[Any] = None
@@ -277,46 +274,6 @@ class Simulator:
             heappush(self._queue, entry)
         return entry[0]
 
-    def _run_callbacks(self, event: Event) -> None:
-        """Process one event that is already triggered and due: run its
-        callbacks (or surface an unhandled failure)."""
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if callbacks is not None:
-            if callbacks.__class__ is list:
-                for callback in callbacks:
-                    callback(event)
-            else:
-                callbacks(event)
-        elif not event._ok and not getattr(event, "_defused", False):
-            # A failure nobody waited for: surface it.
-            value = event._value
-            if isinstance(value, BaseException):
-                raise value
-            raise RuntimeError(f"unhandled failed event {event!r}: {value!r}")
-
-    def fire_inline(self, event: Event, value: Any = None) -> bool:
-        """Trigger a pending ``event`` and process it *now*, inside the
-        current dispatch — the macro-event primitive.
-
-        Used by batched envelope delivery: all messages carried by one
-        envelope wake their waiters within the envelope's single
-        dispatch instead of costing one heap entry (and one dispatch)
-        each.  Returns False without side effects if the event already
-        triggered or was cancelled.  The clock does not move and
-        :attr:`dispatched` does not count it; :attr:`fired_inline` does.
-        """
-        if event._value is not _PENDING or event._cancelled:
-            return False
-        event._ok = True
-        event._value = value
-        self.fired_inline += 1
-        if self.trace_hook is not None:
-            self.trace_hook(self._now, event)
-        self._run_callbacks(event)
-        return True
-
     def step(self) -> None:
         """Process exactly one event."""
         popped = self._pop_live()
@@ -332,7 +289,21 @@ class Simulator:
         if entry[1] & 1 == _KIND_DELAYED and event._value is _PENDING:
             event._ok = True
             event._value = event._delayed_value
-        self._run_callbacks(event)
+        callbacks = event.callbacks
+        event.callbacks = None
+        event._processed = True
+        if callbacks is not None:
+            if callbacks.__class__ is list:
+                for callback in callbacks:
+                    callback(event)
+            else:
+                callbacks(event)
+        elif not event._ok and not getattr(event, "_defused", False):
+            # A failure nobody waited for: surface it.
+            value = event._value
+            if isinstance(value, BaseException):
+                raise value
+            raise RuntimeError(f"unhandled failed event {event!r}: {value!r}")
         if self._pending_crashes:
             raise self._pending_crashes.pop(0)
 

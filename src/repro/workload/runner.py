@@ -113,6 +113,9 @@ class ExperimentResult:
     #: runtime invariant violations (as plain dicts, so results cross
     #: process boundaries); empty unless ``spec.audit`` was set
     audit_violations: tuple = ()
+    #: the run's convergence bound Δ = π + 8δ (C3), kept here so
+    #: results that left their cluster behind can still judge staleness
+    liveness_bound: float = 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -377,6 +380,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         events_dispatched=cluster.sim.dispatched,
         wall_seconds=wall_seconds,
         audit_violations=audit_violations,
+        liveness_bound=cluster.config.liveness_bound,
     )
 
 
@@ -422,7 +426,6 @@ def collect_registry(cluster: Cluster, sessions=(),
     registry.counter("msg.delivered").inc(stats.delivered)
     registry.counter("msg.dropped").inc(stats.dropped)
     registry.counter("msg.envelopes").inc(stats.envelopes)
-    registry.counter("msg.macro_wakeups").inc(stats.macro_wakeups)
     registry.gauge("msg.batch_occupancy").set(stats.batch_occupancy)
     if committed:
         registry.gauge("txn.messages_per_commit").set(

@@ -128,3 +128,23 @@ def test_locks_on_different_objects_independent(manager):
     a = manager.acquire("t1", "x", EXCLUSIVE)
     b = manager.acquire("t2", "y", EXCLUSIVE)
     assert a.triggered and b.triggered
+
+
+def test_immediate_grants_cost_no_kernel_dispatch():
+    sim = Simulator()
+    manager = LockManager(sim)
+    grants = [
+        manager.acquire("t1", "x", SHARED),     # compatible
+        manager.acquire("t1", "x", SHARED),     # re-entrant
+        manager.acquire("t1", "x", EXCLUSIVE),  # sole-holder upgrade
+        manager.acquire("t1", "x", SHARED),     # covered by X
+    ]
+    assert all(grant.triggered for grant in grants)
+    sim.run()
+    assert sim.dispatched == 0
+    # a queued request is still a real event, granted on release
+    waiter = manager.acquire("t2", "x", SHARED)
+    assert not waiter.triggered
+    manager.release_all("t1")
+    sim.run()
+    assert waiter.triggered and sim.dispatched == 1

@@ -14,6 +14,8 @@ invisible to recovery until resolved.  These tests replay the exact
 schedules deterministically so the hole cannot quietly reopen.
 """
 
+import pytest
+
 from repro import Cluster, ProtocolConfig
 
 from tests.properties.test_protocol_invariants import run_random_cluster
@@ -67,11 +69,12 @@ def test_participant_crash_while_in_doubt(seed=7174):
 TXN = (1, 1)  # first transaction minted at processor 1
 
 
-def _cluster_in_decide_window():
+def _cluster_in_decide_window(backend: str = "2pc"):
     """Run a 3-copy write up to the point where the coordinator has
     durably decided commit but the decide fan-out has not left yet.
     Returns the cluster with the sim parked inside that window."""
-    config = ProtocolConfig(delta=4.0, storage_sync_cost=3.0)
+    config = ProtocolConfig(delta=4.0, storage_sync_cost=3.0,
+                            commit_backend=backend)
     cluster = Cluster(processors=3, seed=1, config=config, audit=True)
     cluster.place("x", holders=[1, 2, 3], initial=0)
     cluster.start()
@@ -151,3 +154,22 @@ def test_txn_status_racing_late_decide():
     assert cluster.history.txns[TXN].status == "committed"
     assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]
     assert cluster.check_one_copy_serializable() is True
+
+
+@pytest.mark.parametrize("backend", ["2pc", "paxos"])
+def test_decide_in_the_resolver_spawn_instant(backend):
+    """A resolver is spawned, and in the same instant — before its
+    process first runs — a decide resolves the transaction.  The
+    resolver must stand down quietly (it once read the in-doubt entry
+    unguarded and crashed with a KeyError) and release its slot."""
+    cluster = _cluster_in_decide_window(backend)
+    commit = cluster.protocol(2).commit
+    commit.kick_resolver(TXN)
+    assert TXN in commit.resolving
+    cluster.protocol(2)._apply_decision(TXN, "commit")
+    assert TXN not in commit.in_doubt
+    cluster.run(until=cluster.sim.now + 20.0)
+    assert cluster.sim.crashes == []
+    assert TXN not in commit.resolving
+    assert cluster.processor(2).store.peek("x")[0] == 42
+    assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]

@@ -1,18 +1,19 @@
-"""Edge cases of macro-event delivery (batched envelope draining).
+"""Edge cases of batched envelope delivery.
 
-In batched mode an envelope drains through the destination's inline
-handler as ONE kernel dispatch — these tests pin the corner behavior
-the golden-trace pin cannot isolate: a destination dying mid-drain, an
-in-flight cut killing the whole envelope, duplicate replies riding one
-envelope, trace ordering within a drain, and a ``StopSimulation``
-raised by a woken waiter halfway through the carry list.
+In batched mode one envelope carries several logical messages, and its
+single delivery event hands every one of them to the destination's
+handler, in carry order.  These tests pin the corner behavior the
+golden-trace pin cannot isolate: the dispatch cost of an envelope, a
+destination dying mid-envelope, an in-flight cut killing the whole
+envelope, duplicate replies riding one envelope, and trace ordering
+within an envelope.
 """
 
 import random
 
 from repro.net import CommGraph, FixedLatency, Message, Network
 from repro.node.processor import Processor
-from repro.sim import Simulator, StopSimulation
+from repro.sim import Simulator
 
 
 def build_net(window=0.5, n=3):
@@ -37,53 +38,39 @@ class RecordingTracer:
         self.events.append((etype, fields))
 
 
-def test_envelope_drains_as_one_macro_wakeup_in_carry_order():
+def test_envelope_delivers_in_carry_order_in_one_dispatch():
     sim, _, net = build_net()
     seen = []
-    handler = seen.append
-    net.register(2, handler, inline=lambda m: seen.append(("inline", m.kind)))
+    net.register(2, lambda m: seen.append(m.kind))
     for kind in ("a", "b", "c"):
         net.send(Message(src=1, dst=2, kind=kind))
     sim.run()
-    # one envelope, one macro wakeup, three per-message deliveries, in
-    # the order the messages were carried
-    assert seen == [("inline", "a"), ("inline", "b"), ("inline", "c")]
+    # one envelope: its flush timer and its delivery are the only two
+    # dispatches, and the three messages arrive in the order carried
+    assert seen == ["a", "b", "c"]
     assert net.stats.envelopes == 1
-    assert net.stats.macro_wakeups == 1
     assert net.stats.delivered == 3
+    assert sim.dispatched == 2
 
 
-def test_unbatched_window_never_uses_inline_handler():
-    sim, _, net = build_net(window=0.0)
-    classic, inline = [], []
-    net.register(2, classic.append, inline=inline.append)
-    net.send(Message(src=1, dst=2, kind="a"))
-    sim.run()
-    assert [m.kind for m in classic] == ["a"]
-    assert inline == []
-    assert net.stats.macro_wakeups == 0
-
-
-def test_destination_dying_mid_drain_filters_rest_of_envelope():
-    """The first carried message wakes a consumer that kills the
-    processor; the remaining carried messages must be filtered by the
-    aliveness check, exactly like separately-delivered ones."""
+def test_destination_dying_mid_envelope_filters_the_rest():
+    """The first carried message is served by a handler that crashes
+    the processor; the remaining carried messages must be filtered by
+    the aliveness check, exactly like separately-delivered ones."""
     sim, _, net, procs = build_processors()
     p2 = procs[2]
     got = []
 
-    def consumer():
-        message = yield p2.receive("data")
+    def handler(message):
         got.append(message.payload["i"])
-        p2.alive = False  # crash point: mid-drain, after one message
+        p2.alive = False  # crash point: mid-envelope, after one message
 
-    sim.process(consumer(), name="consumer")
+    p2.serve("data", handler)
     for i in range(3):
         procs[1].send(2, "data", {"i": i})
     sim.run()
     # network accounting sees the whole envelope; the dead processor
     # swallowed everything after the crash point
-    assert net.stats.macro_wakeups == 1
     assert net.stats.delivered == 3
     assert got == [0]
     assert len(p2.mailbox("data")) == 0
@@ -92,7 +79,7 @@ def test_destination_dying_mid_drain_filters_rest_of_envelope():
 def test_in_flight_cut_drops_the_whole_envelope():
     sim, graph, net = build_net()
     seen = []
-    net.register(2, seen.append, inline=seen.append)
+    net.register(2, seen.append)
     net.send(Message(src=1, dst=2, kind="a"))
     net.send(Message(src=1, dst=2, kind="b"))
     # sever the link while the envelope is in flight (after the 0.5
@@ -101,20 +88,18 @@ def test_in_flight_cut_drops_the_whole_envelope():
     cut.add_callback(lambda _e: graph.cut_link(1, 2))
     sim.run()
     assert seen == []
-    assert net.stats.macro_wakeups == 0
     assert net.stats.dropped_in_flight == 2
 
 
 def test_duplicate_replies_riding_one_envelope_count_late():
     """Two replies to the same RPC coalesce into one envelope: the
-    first fires the waiter inline, the duplicate is filtered as a late
-    reply — not delivered to a mailbox, not crashing the drain."""
+    first fires the waiter, the duplicate is filtered as a late reply —
+    not delivered to a mailbox, not crashing the delivery."""
     sim, _, net, procs = build_processors()
     p1, p2 = procs[1], procs[2]
     outcome = {}
 
-    def server():
-        request = yield p2.receive("ping")
+    def serve_ping(request):
         p2.reply(request, "pong", {"n": 1})
         p2.reply(request, "pong", {"n": 2})  # duplicate, same window
 
@@ -122,7 +107,7 @@ def test_duplicate_replies_riding_one_envelope_count_late():
         response = yield from p1.rpc(2, "ping", {}, timeout=10.0)
         outcome["reply"] = response.payload["n"]
 
-    sim.process(server(), name="server")
+    p2.serve("ping", serve_ping)
     sim.process(client(), name="client")
     sim.run()
     assert outcome["reply"] == 1
@@ -130,10 +115,10 @@ def test_duplicate_replies_riding_one_envelope_count_late():
     assert len(p1.mailbox("pong")) == 0
 
 
-def test_per_message_traces_keep_carry_order_within_a_drain():
+def test_per_message_traces_keep_carry_order_within_an_envelope():
     sim, _, net = build_net()
     net.tracer = tracer = RecordingTracer()
-    net.register(2, lambda m: None, inline=lambda m: None)
+    net.register(2, lambda m: None)
     for kind in ("a", "b", "c"):
         net.send(Message(src=1, dst=2, kind=kind))
     sim.run()
@@ -143,25 +128,3 @@ def test_per_message_traces_keep_carry_order_within_a_drain():
     assert [f["kind"] for _, f in recvs] == ["a", "b", "c"]
     sends = [f["seq"] for e, f in tracer.events if e == "msg.send"]
     assert [f["seq"] for _, f in recvs] == sends
-
-
-def test_stop_simulation_mid_drain_finishes_the_envelope():
-    sim, _, net = build_net()
-    seen = []
-
-    def inline(message):
-        seen.append(message.kind)
-        if message.kind == "halt":
-            raise StopSimulation("halt requested")
-
-    net.register(2, lambda m: None, inline=inline)
-    for kind in ("halt", "tail1", "tail2"):
-        net.send(Message(src=1, dst=2, kind=kind))
-    # a later event that must never run: the stop takes effect at the
-    # envelope's arrival instant, after the drain completes
-    later = sim.timeout(50.0)
-    later.add_callback(lambda _e: seen.append("too-late"))
-    sim.run()
-    assert seen == ["halt", "tail1", "tail2"]
-    assert net.stats.delivered == 3
-    assert sim.now < 50.0

@@ -184,3 +184,58 @@ def test_store_survives_crash():
     procs[1].crash()
     procs[1].recover()
     assert procs[1].store.read("x") == (42, (1, 1))
+
+
+# -- request servers ------------------------------------------------------
+
+def test_serve_runs_the_handler_inside_the_delivery():
+    sim, _, _, procs = build()
+    got = []
+    procs[2].serve("ping", lambda message: got.append((message.src, sim.now)))
+    procs[1].send(2, "ping")
+    sim.run()
+    assert got == [(1, 1.0)]
+    # the delivery is the only dispatch: no mailbox, no wakeup
+    assert sim.dispatched == 1
+    assert len(procs[2].mailbox("ping")) == 0
+
+
+def test_serve_with_process_spawns_one_handler_per_request():
+    sim, _, _, procs = build()
+    done = []
+
+    def handler(message):
+        yield sim.timeout(2.0)
+        done.append((message.payload["n"], sim.now))
+
+    procs[2].serve("work", handler, process="worker")
+    procs[1].send(2, "work", {"n": 1})
+    procs[1].send(2, "work", {"n": 2})
+    sim.run()
+    assert done == [(1, 3.0), (2, 3.0)]
+
+
+def test_duplicate_server_kind_rejected():
+    sim, _, _, procs = build()
+    procs[1].serve("ping", lambda message: None)
+    with pytest.raises(KeyError):
+        procs[1].serve("ping", lambda message: None)
+
+
+def test_serve_handler_never_runs_while_down_or_before_recover_hooks():
+    sim, graph, _, procs = build()
+    p2 = procs[2]
+    log = []
+    p2.on_recover(lambda: log.append(("recover-hook", sim.now)))
+    p2.serve("ping", lambda message: log.append(
+        ("handled", message.payload["n"], sim.now)))
+    procs[1].send(2, "ping", {"n": 1})       # lands at 1.0, while up
+    sim.run(until=1.5)
+    p2.crash()
+    procs[1].send(2, "ping", {"n": 2})       # lands at 2.5, while down
+    sim.run(until=3.0)
+    p2.recover()
+    procs[1].send(2, "ping", {"n": 3})       # lands at 4.0, after recovery
+    sim.run()
+    assert log == [("handled", 1, 1.0), ("recover-hook", 3.0),
+                   ("handled", 3, 4.0)]

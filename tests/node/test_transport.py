@@ -179,11 +179,10 @@ def test_late_reply_is_counted_and_traced():
     assert late[0].fields["kind"] == "echo-reply"
 
 
-def test_quorum_kill_leaves_no_reply_waiters():
-    """Early-exit cleanup: killing straggler RPC workers must run their
-    ``finally`` blocks, deregistering every reply waiter — and the
-    straggler's eventual reply is dropped as a late reply, not an
-    error."""
+def test_quorum_exit_leaves_no_reply_waiters():
+    """Early-exit cleanup: the stragglers' reply routes are withdrawn
+    the moment the quorum holds, and a straggler's eventual reply is
+    dropped as a late reply, not an error."""
     sim, _, _, procs = build()
     sim.process(echo_server(procs[2])())
     sim.process(echo_server(procs[3])())
@@ -199,6 +198,154 @@ def test_quorum_kill_leaves_no_reply_waiters():
     sim.run()  # runs past t=52, when p4's reply finally arrives
     results, waiters_at_exit, finished_at = proc.value
     assert results == {2, 3} and finished_at == 2.0
-    assert waiters_at_exit == {}  # killed workers cleaned up after themselves
+    assert waiters_at_exit == {}
     assert procs[1]._reply_waiters == {}
     assert procs[1].transport.late_replies == 1  # p4's orphaned reply
+
+
+# -- event cost -----------------------------------------------------------
+# A process costs two dispatches of its own (its start and its finish);
+# everything else a test below dispatches is the fan-out's.
+
+def serve_echo(proc, kind="echo"):
+    """An inline request server: the reply leaves within the delivery."""
+    proc.serve(kind, lambda request: proc.reply(
+        request, f"{kind}-reply", {"pid": proc.pid}))
+
+
+def test_scatter_gather_costs_one_event_per_message_plus_one_wakeup():
+    for k in (1, 3, 5):
+        sim, _, _, procs = build(n=k + 1)
+        for pid in range(2, k + 2):
+            serve_echo(procs[pid])
+
+        def caller(k=k, procs=procs):
+            results = yield from procs[1].scatter_gather(
+                range(2, k + 2), "echo", lambda server: {}, timeout=5.0)
+            return results
+
+        proc = sim.process(caller())
+        sim.run()
+        assert sorted(proc.value) == list(range(2, k + 2))
+        # k request deliveries + k reply deliveries + 1 gatherer wakeup
+        assert sim.dispatched == 2 + 2 * k + 1
+
+
+def test_silent_targets_share_one_deadline():
+    for k in (1, 4):
+        sim, graph, _, procs = build(n=k + 1)
+        for pid in range(2, k + 2):
+            graph.cut_link(1, pid)
+
+        def caller(k=k, procs=procs):
+            results = yield from procs[1].scatter_gather(
+                range(2, k + 2), "echo", lambda server: {}, timeout=3.0)
+            return results
+
+        proc = sim.process(caller())
+        sim.run()
+        assert proc.value == {pid: None for pid in range(2, k + 2)}
+        # one deadline for the whole call, then one gatherer wakeup —
+        # independent of how many targets stayed silent
+        assert sim.dispatched == 2 + 1 + 1
+        assert procs[1].transport.no_responses == k
+        assert procs[1].transport.fanout_latencies == [3.0]
+        assert procs[1]._reply_waiters == {}
+
+
+def test_rpc_costs_one_waiter_and_no_composite():
+    sim, _, _, procs = build()
+    serve_echo(procs[2])
+
+    def caller():
+        response = yield from procs[1].rpc(2, "echo", {}, timeout=5.0)
+        return response.payload["pid"]
+
+    proc = sim.process(caller())
+    sim.run()
+    assert proc.value == 2
+    # request delivery + reply delivery + the waiter's wakeup; the
+    # cancelled deadline is never dispatched
+    assert sim.dispatched == 2 + 3
+
+
+def test_broadcast_collect_costs_deliveries_plus_one_window_timer():
+    sim, _, _, procs = build()
+    for pid in (2, 3, 4):
+        procs[pid].serve("ping", lambda message, pid=pid: procs[pid].send(
+            message.src, "pong", {"v": pid}))
+
+    def caller():
+        collected = yield from procs[1].broadcast_collect(
+            [2, 3, 4], "ping", {}, reply_kind="pong", window=5.0,
+            accept=lambda m: True)
+        return sorted(m.payload["v"] for m in collected)
+
+    proc = sim.process(caller())
+    sim.run()
+    assert proc.value == [2, 3, 4]
+    # 3 pings + 3 pongs delivered, then the one window timer
+    assert sim.dispatched == 2 + 6 + 1
+
+
+def test_broadcast_collect_drops_stale_acks_between_windows():
+    """An ack delivered while no window is open answers a finished
+    round: it is dropped, not queued for the next window.  An ack for
+    an earlier round that lands *inside* a window is shown to
+    ``accept``, which filters it."""
+    sim, _, _, procs = build()
+    p1 = procs[1]
+    shown = []
+
+    def late_acker(message):
+        # answers each ping twice: now and after the window closed
+        procs[2].send(1, "pong", {"round": message.payload["round"]})
+        procs[2].spawn("late", late_ack(message.payload["round"]))
+
+    def late_ack(round_no):
+        yield sim.timeout(4.5)
+        procs[2].send(1, "pong", {"round": round_no})
+
+    procs[2].serve("ping", late_acker)
+
+    def accept(round_no):
+        def check(message):
+            shown.append((round_no, message.payload["round"]))
+            return message.payload["round"] == round_no
+        return check
+
+    def caller():
+        first = yield from p1.broadcast_collect(
+            [2], "ping", {"round": 1}, reply_kind="pong", window=3.0,
+            accept=accept(1))
+        # round 1's late ack arrives at t=6.5, between the windows
+        yield sim.timeout(4.0)
+        second = yield from p1.broadcast_collect(
+            [2], "ping", {"round": 2}, reply_kind="pong", window=8.0,
+            accept=accept(2))
+        return len(first), len(second)
+
+    proc = sim.process(caller())
+    sim.run()
+    assert proc.value == (1, 2)
+    # round 1's second ack never reached a window, and nothing waits in
+    # a mailbox for a later round to drain
+    assert shown == [(1, 1), (2, 2), (2, 2)]
+    assert len(p1.mailbox("pong")) == 0
+
+
+def test_broadcast_collect_filters_an_earlier_round_inside_a_window():
+    sim, _, _, procs = build()
+    p1 = procs[1]
+
+    def caller():
+        # a stray ack for round 0 lands at t=1, inside round 1's window
+        procs[2].send(1, "pong", {"round": 0})
+        collected = yield from p1.broadcast_collect(
+            [], "ping", {}, reply_kind="pong", window=3.0,
+            accept=lambda m: m.payload["round"] == 1)
+        return collected
+
+    proc = sim.process(caller())
+    sim.run()
+    assert proc.value == []

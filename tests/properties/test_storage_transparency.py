@@ -4,11 +4,11 @@ Two pins, mirroring ``test_batching_transparency``:
 
 1. **Trace identity** — with zero storage costs and compaction off, a
    failure-laden seeded run produces a byte-identical trace to the
-   pre-engine implementation (the golden hash below was captured
-   before the refactor).  Only the event families the engine added
+   pinned capture (first taken on the pre-engine implementation, and
+   re-taken once since, when the fan-out primitives changed the order
+   of same-instant events).  Only the event families the engine added
    (``storage.*``, ``msg.late-reply``) are filtered before hashing —
-   everything that existed before must be untouched, timestamps
-   included.
+   everything else must be untouched, timestamps included.
 
 2. **Outcome preservation** — turning the durability cost model and
    compaction *on* may shift timing (forced writes consume model time,
@@ -28,22 +28,27 @@ CLIENTS = 2
 TXNS_PER_CLIENT = 4
 
 #: sha256 of the canonical JSONL trace of `_golden_spec`'s run,
-#: captured on the pre-storage-engine implementation (with the
-#: stale-view guard of copy_update applied there too — that guard is a
-#: protocol fix orthogonal to the storage refactor, and the capture
-#: must isolate the refactor)
+#: re-captured when fan-out collapsed into one call object per scatter
+#: and requests moved to direct handlers.  That change reorders events
+#: within an instant (requests leave when the call is created, and a
+#: gatherer wakes one dispatch after its last reply instead of four),
+#: so the trace moved; the committed write sets of this spec are
+#: unchanged on seeds 1-20, all one-copy serializable.  The previous
+#: capture dated from the pre-storage-engine implementation (with the
+#: stale-view guard of copy_update applied there too).
 GOLDEN_TRACE_SHA = \
-    "0fc441275982da4c08212b22be04b1d0ea60cb6fe07f876de161d768edcfe82d"
+    "2a3c2c2df3228341a732605bffa54c86000936bbdac01441c53671056aaf2053"
 #: event families added by this refactor, filtered before hashing
 NEW_EVENT_FAMILIES = ("storage.", "msg.late-reply")
 
 #: sha256 of the full (unfiltered) trace of the batched-transport
-#: variant of the same scenario (``batch_window = 0.5``), captured when
-#: macro-event delivery landed.  Pins the envelope draining order,
-#: inline wakeup sequencing, and per-message trace emission of the
+#: variant of the same scenario (``batch_window = 0.5``), re-captured
+#: when macro-event delivery was deleted (envelopes now hand their
+#: messages to the same handlers as unbatched delivery).  Pins the
+#: envelope delivery order and per-message trace emission of the
 #: batched path — which the default-config pin above never exercises.
 BATCHED_GOLDEN_TRACE_SHA = \
-    "0ed8b310ff690a52692f2d18b4b3d0919d5851f15e8f59f0ef947d5d0f1d111d"
+    "22d54019d3a9bdaa2c6269cc23ed5147eab50f067cd2f3a415962fbb1a9b6f24"
 
 
 def _private_objects(pid, client):
@@ -105,8 +110,8 @@ def test_default_policy_is_trace_identical_to_pre_engine_run(tmp_path):
 
 
 def test_batched_config_trace_is_pinned(tmp_path):
-    """Macro-event delivery is trace-deterministic: a partition + heal
-    run on the batched transport produces a byte-identical trace every
+    """Batched delivery is trace-deterministic: a partition + heal run
+    on the batched transport produces a byte-identical trace every
     time, and batching must not change what commits (1SR holds)."""
     def schedule(cluster):
         cluster.injector.partition_at(30.0, [{1, 2, 3, 4}, {5}])
@@ -120,11 +125,8 @@ def test_batched_config_trace_is_pinned(tmp_path):
     digest = hashlib.sha256(path.read_text().encode()).hexdigest()
     assert digest == BATCHED_GOLDEN_TRACE_SHA
     assert result.one_copy_ok is True
-    # the run exercised macro delivery: most envelopes drained through
-    # an inline handler (the rest died at partitioned/down destinations)
-    wakeups = result.network["macro_wakeups"]
-    envelopes = result.network["envelopes"]
-    assert 0 < wakeups <= envelopes
+    # the run exercised batching: some envelopes carried several messages
+    assert 0 < result.network["envelopes"] < result.network["sent"]
     assert result.committed > 0
 
 
