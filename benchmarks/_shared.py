@@ -38,20 +38,17 @@ def report(text: str) -> None:
     sys.stdout.flush()
 
 
-def emit_metrics(bench: str, values: Optional[Mapping[str, float]] = None,
-                 registry=None) -> dict:
+def emit_metrics(bench: str, values: Mapping[str, float]) -> dict:
     """Print a bench's headline numbers as one structured JSON line.
 
     ``values`` is a flat ``{metric-name: number}`` mapping routed
-    through a fresh registry as gauges; pass ``registry`` instead to
-    emit an already-populated :class:`MetricsRegistry`.
+    through a fresh :class:`MetricsRegistry` as gauges.
     """
     from repro.obs.metrics import MetricsRegistry
 
-    if registry is None:
-        registry = MetricsRegistry()
-        for name, value in (values or {}).items():
-            registry.gauge(name).set(value)
+    registry = MetricsRegistry()
+    for name, value in values.items():
+        registry.gauge(name).set(value)
     payload = {"bench": bench, "metrics": registry.snapshot()}
     print(json.dumps(payload, sort_keys=True))
     sys.stdout.flush()

@@ -99,7 +99,7 @@ def cell_outcome(protocol: str, label: str, session,
         "read_fraction": read_fraction,
         "lease": lease,
         "committed": result.committed,
-        "programs": result._client_counter("programs_committed")
+        "programs": result._client_counter("client.programs_committed")
         or result.committed,
         "p50": result.latency_p50,
         "p99": result.latency_p99,

@@ -9,7 +9,7 @@ from .context import TransactionContext
 from .factory import make_cc
 from .locks import EXCLUSIVE, SHARED, LockManager, LockRequest
 from .strategy import ConcurrencyControl
-from .transactions import Transaction, TransactionManager, TxnStats
+from .transactions import Transaction, TransactionManager
 from .tso import TimestampOrdering
 from .twopl import TwoPhaseLocking
 
@@ -25,6 +25,5 @@ __all__ = [
     "TransactionContext",
     "TransactionManager",
     "TwoPhaseLocking",
-    "TxnStats",
     "make_cc",
 ]

@@ -65,13 +65,14 @@ class SessionSpec:
 
 @dataclass
 class SessionStats:
-    """What one client's session tier did, for the run-level rollup."""
+    """What one client's session tier did; the run totals every
+    session's stats and exports each field under ``client.``."""
 
     programs: int = 0
-    committed: int = 0
-    aborted: int = 0
+    programs_committed: int = 0
+    programs_aborted: int = 0
     #: programs that needed no protocol transaction at all
-    local_programs: int = 0
+    programs_local: int = 0
     reads: int = 0
     writes: int = 0
     #: reads served from a valid lease
@@ -86,8 +87,6 @@ class SessionStats:
     flush_writes: int = 0
     #: per-read client-observed latency (0.0 for local serves)
     read_latencies: List[float] = field(default_factory=list)
-    #: per-committed-program service time (run_program entry -> commit)
-    program_latencies: List[float] = field(default_factory=list)
     #: age of lease-served values (now - fetch_time) at serve time
     staleness: List[float] = field(default_factory=list)
 
@@ -156,8 +155,7 @@ class ClientSession:
         :meth:`TransactionManager.run`; the result is the last read's
         value, matching :func:`~repro.workload.generator.body_for`.
         """
-        sim = self.sim
-        start = sim.now
+        start = self.sim.now
         self.stats.programs += 1
         #: protocol steps: (kind, obj, write_value, program_slot);
         #: slot None marks a flush of an evicted dirty entry
@@ -191,9 +189,8 @@ class ClientSession:
                 else:
                     remote.append(("w", obj, value, slot))
         if not remote:
-            self.stats.local_programs += 1
-            self.stats.committed += 1
-            self.stats.program_latencies.append(sim.now - start)
+            self.stats.programs_local += 1
+            self.stats.programs_committed += 1
             return True, self._program_result(program, local)
 
         captured: Dict[str, Any] = {}
@@ -216,11 +213,10 @@ class ClientSession:
             for kind, obj, value, slot in remote:
                 if kind == "w" and slot is None:
                     self._flush_backlog.append((obj, value))
-            self.stats.aborted += 1
+            self.stats.programs_aborted += 1
             return False, outcome
         self._absorb_commit(remote, captured, local, start)
-        self.stats.committed += 1
-        self.stats.program_latencies.append(sim.now - start)
+        self.stats.programs_committed += 1
         return True, self._program_result(program, local)
 
     def drain(self, retries: int = 0, backoff: Optional[float] = None):

@@ -34,6 +34,7 @@ from .net.network import Network
 from .net.topology import CommGraph
 from .node.processor import Processor
 from .node.storage import StorageEngine, StoragePolicy
+from .obs.metrics import sum_stats
 from .sim import RandomStreams, Simulator
 
 #: protocol factory signature: (processor, placement, config, history,
@@ -287,12 +288,9 @@ class Cluster:
         return write_jsonl(self.tracer.events, path)
 
     def total_metrics(self):
-        """Protocol counters summed over all processors."""
-        totals = None
-        for pid in self.pids:
-            metrics = self.protocols[pid].metrics
-            totals = metrics if totals is None else totals.merge(metrics)
-        return totals
+        """Protocol counters summed over all processors, as a new
+        object (never a processor's live counters)."""
+        return sum_stats(self.protocols[pid].metrics for pid in self.pids)
 
     def check_serializable(self) -> bool:
         """CP-serializability of the committed physical history."""

@@ -216,8 +216,12 @@ class PaxosCommit(AtomicCommit):
             # must stay silent: the acceptors may yet choose commit,
             # and a unilateral abort here could contradict the recovery
             # leaders.  The history record stays open; whoever decides
-            # closes it (see _decide_and_distribute).
-            self._meta.pop(txn, None)
+            # closes it (see _decide_and_distribute).  When our own
+            # instance is prepared, the metadata is part of that
+            # force-written record: our resolver leads with it after
+            # recovery, so it goes only with the in-doubt entry.
+            if txn not in self.in_doubt:
+                self._meta.pop(txn, None)
             raise TransactionAborted(txn, "outcome ceded to recovery leaders")
         yield from self._decide_and_distribute(txn, outcome,
                                                sorted(ctx.participants))
@@ -586,7 +590,7 @@ class PaxosCommit(AtomicCommit):
         try:
             while txn in self.in_doubt:
                 meta = self._meta.get(txn)
-                if meta is None:  # pragma: no cover - stored at prepare
+                if meta is None:  # pragma: no cover - kept while in doubt
                     yield self.sim.timeout(retry)
                     continue
                 ballot = attempt * BALLOT_STRIDE + self.pid

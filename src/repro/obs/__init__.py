@@ -7,8 +7,9 @@ The subsystem has four pieces:
   reads, transaction outcomes), all stamped with simulated time;
 * :mod:`repro.obs.trace` — the :class:`Tracer` recorder, wired through
   ``Cluster(trace=True)``;
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry
-  with a zero-overhead :class:`NullRegistry` for disabled runs;
+* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry,
+  loaded at the end of a run from the components' stats dataclasses
+  by one generic export (:func:`~repro.obs.metrics.load_stats`);
 * :mod:`repro.obs.export` / :mod:`repro.obs.analyze` — deterministic
   JSONL traces and the analyzer that reconstructs per-view timelines,
   message breakdowns, and lock-wait distributions from them
@@ -19,13 +20,11 @@ from .analyze import TraceAnalyzer, ViewFormation, vpid_key
 from .events import TraceEvent, jsonable
 from .export import dumps_jsonl, event_line, read_jsonl, write_jsonl
 from .metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     LogBucketHistogram,
     MetricsRegistry,
-    NullRegistry,
 )
 from .trace import Tracer
 
@@ -35,8 +34,6 @@ __all__ = [
     "Histogram",
     "LogBucketHistogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "TraceAnalyzer",
     "TraceEvent",
     "Tracer",

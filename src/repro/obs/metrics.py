@@ -6,20 +6,28 @@ run_experiment` call loads its results into one so the numbers exist
 in machine-readable form, giving future performance PRs a stable
 baseline to diff against.
 
-Disabled recording uses :class:`NullRegistry`, whose instruments are
-shared do-nothing singletons — callers keep the same
-``registry.counter("x").inc()`` shape with no conditional at the call
-site and no allocation per lookup.
+There is one metrics path.  Each component counts into its own stats
+dataclass with plain attribute adds (``TransportStats``,
+``StorageStats``, ``ProtocolMetrics``, ...), and that dataclass is the
+only place a counter is declared.  A finished run totals each
+component's per-processor objects with :func:`sum_stats` and loads the
+total under the component's prefix with :func:`load_stats`, so a field
+added to a stats class reaches the registry without further code.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Dict, List, Optional
+from dataclasses import fields
+from typing import Dict, Iterable, List, Optional, TypeVar
 
 #: percentiles reported in every histogram summary
 SUMMARY_PERCENTILES = (50.0, 90.0, 95.0, 99.0)
+
+#: a stats dataclass: int counters, ``by_*`` dicts of int counters, and
+#: lists of samples, every field defaulted
+S = TypeVar("S")
 
 
 class Counter:
@@ -267,8 +275,6 @@ class LogBucketHistogram(Histogram):
 class MetricsRegistry:
     """Interned instruments, keyed by name."""
 
-    enabled = True
-
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -331,75 +337,52 @@ class MetricsRegistry:
                 f"{len(self._histograms)} histograms)")
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
+def sum_stats(items: Iterable[S]) -> Optional[S]:
+    """The field-by-field total of same-type stats dataclasses.
 
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-
-class _NullLogBucketHistogram(LogBucketHistogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-    def merge(self, other: LogBucketHistogram) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled recorder: every lookup returns a shared no-op.
-
-    ``snapshot()`` is always empty; ``inc``/``set``/``observe`` discard
-    their arguments without allocating, so instrumented code needs no
-    "is metrics on?" branch.
+    Ints add, dicts merge per key, sample lists concatenate in order.
+    The total is always a fresh object, never one of ``items``; None
+    when there is nothing to total.
     """
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__()
-        self._counter = _NullCounter("null")
-        self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram("null")
-        self._log_histogram = _NullLogBucketHistogram("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauge
-
-    def histogram(self, name: str) -> Histogram:
-        return self._histogram
-
-    def log_histogram(self, name: str) -> LogBucketHistogram:
-        return self._log_histogram
-
-    def snapshot(self) -> dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+    items = list(items)
+    if not items:
+        return None
+    total = type(items[0])()
+    for item in items:
+        for spec in fields(item):  # type: ignore[arg-type]
+            value = getattr(item, spec.name)
+            if isinstance(value, dict):
+                merged = getattr(total, spec.name)
+                for key, amount in value.items():
+                    merged[key] = merged.get(key, 0) + amount
+            elif isinstance(value, list):
+                getattr(total, spec.name).extend(value)
+            else:
+                setattr(total, spec.name, getattr(total, spec.name) + value)
+    return total
 
 
-#: a process-wide disabled registry, for defaulting optional parameters
-NULL_REGISTRY = NullRegistry()
+def load_stats(registry: MetricsRegistry, prefix: str,
+               items: Iterable[S]) -> Optional[S]:
+    """Total ``items`` (see :func:`sum_stats`) and load it as counters.
+
+    Each int field ``f`` becomes counter ``<prefix>f``; each ``by_x``
+    dict becomes one counter ``<prefix>x.<key>`` per key.  Sample lists
+    are left to the caller, which knows each one's histogram name and
+    kind.  Returns the total (None, loading nothing, when ``items`` is
+    empty).
+    """
+    total = sum_stats(items)
+    if total is None:
+        return None
+    for spec in fields(total):  # type: ignore[arg-type]
+        value = getattr(total, spec.name)
+        if isinstance(value, list):
+            continue
+        if isinstance(value, dict):
+            name = prefix + spec.name.removeprefix("by_")
+            for key in sorted(value):
+                registry.counter(f"{name}.{key}").inc(value[key])
+        else:
+            registry.counter(prefix + spec.name).inc(value)
+    return total

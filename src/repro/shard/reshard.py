@@ -105,16 +105,6 @@ class ReshardStats:
     #: actions driven to completion
     campaigns_completed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "objects_moved": self.objects_moved,
-            "objects_unchanged": self.objects_unchanged,
-            "flips": self.flips,
-            "verify_retries": self.verify_retries,
-            "resumes": self.resumes,
-            "campaigns_completed": self.campaigns_completed,
-        }
-
 
 class ReshardEngine:
     """Drives :class:`ReshardAction` s against a live cluster.

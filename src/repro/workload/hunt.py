@@ -180,7 +180,8 @@ def campaign_spec(cfg: HuntConfig, actions: Tuple[FaultAction, ...],
 
 
 def verdict_of(result: ExperimentResult) -> Optional[str]:
-    """None = clean; otherwise a one-line description of the conviction."""
+    """None = clean; otherwise a one-line description of the conviction:
+    an auditor violation, a 1SR violation, or an in-doubt leak."""
     if result.audit_violations:
         first = result.audit_violations[0]
         return (f"auditor: {len(result.audit_violations)} violation(s), "
@@ -188,6 +189,14 @@ def verdict_of(result: ExperimentResult) -> Optional[str]:
                 f"p{first['pid']}: {first['detail']}")
     if result.one_copy_ok is False:
         return "1SR violation: committed history is not one-copy serializable"
+    # Liveness, read from the registry so pool results (which leave
+    # their cluster behind) are judged too: every prepared participant
+    # that is up when the run ends must have learned its outcome.
+    if result.registry is not None:
+        left = result.registry.snapshot()["gauges"].get("txn.in_doubt_left")
+        if left:
+            return (f"liveness: {left:g} in-doubt transaction(s) still "
+                    f"unresolved at live processors when the run ended")
     return None
 
 

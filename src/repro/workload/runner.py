@@ -17,7 +17,7 @@ from ..client.session import ClientSession, SessionSpec
 from ..cluster import Cluster
 from ..core.config import ProtocolConfig
 from ..net.latency import LatencyModel
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, load_stats
 from ..protocols import protocol_factory
 from .generator import WorkloadGenerator, WorkloadSpec, body_for
 
@@ -404,9 +404,11 @@ def collect_registry(cluster: Cluster, sessions=(),
     """Distil a finished cluster's counters into a metrics registry.
 
     This is the structured-output side of every experiment and
-    benchmark: counters for transaction outcomes and per-kind message
-    traffic, gauges for protocol-level totals, and a histogram of
-    committed-transaction latencies (simulated time).
+    benchmark.  Every field of every component's stats dataclass is
+    loaded by :func:`~repro.obs.metrics.load_stats` under the
+    component's prefix; the lines below that call add only what no
+    single dataclass holds: history-derived outcomes, derived ratios,
+    end-of-run state, and the sample lists' histograms.
     """
     registry = MetricsRegistry()
     registry.counter("sim.dispatched").inc(cluster.sim.dispatched)
@@ -421,126 +423,68 @@ def collect_registry(cluster: Cluster, sessions=(),
     for record in committed:
         if record.end_time is not None:
             latency.observe(record.end_time - record.begin_time)
-    stats = cluster.network.stats
-    registry.counter("msg.sent").inc(stats.sent)
-    registry.counter("msg.delivered").inc(stats.delivered)
-    registry.counter("msg.dropped").inc(stats.dropped)
-    registry.counter("msg.envelopes").inc(stats.envelopes)
-    registry.gauge("msg.batch_occupancy").set(stats.batch_occupancy)
+    processors = [cluster.processors[pid] for pid in cluster.pids]
+    protocols = [cluster.protocols[pid] for pid in cluster.pids]
+    network = load_stats(registry, "msg.", [cluster.network.stats])
+    registry.counter("msg.dropped").inc(network.dropped)
+    registry.gauge("msg.batch_occupancy").set(network.batch_occupancy)
     if committed:
         registry.gauge("txn.messages_per_commit").set(
-            stats.sent / len(committed))
+            network.sent / len(committed))
         registry.gauge("txn.envelopes_per_commit").set(
-            stats.envelopes / len(committed))
-    for kind in sorted(stats.by_kind):
-        registry.counter(f"msg.kind.{kind}").inc(stats.by_kind[kind])
+            network.envelopes / len(committed))
+    transports = [p.transport for p in processors]
+    load_stats(registry, "transport.", transports)
+    # per processor, as the exact histogram sums each batch on its own
     fanout_latency = registry.histogram("transport.fanout_latency")
-    for pid in cluster.pids:
-        transport = cluster.processors[pid].transport
-        registry.counter("transport.fanouts").inc(transport.fanouts)
-        registry.counter("transport.broadcasts").inc(transport.broadcasts)
-        registry.counter("transport.rpcs").inc(transport.rpcs)
-        registry.counter("transport.no_responses").inc(
-            transport.no_responses)
-        registry.counter("transport.early_exits").inc(
-            transport.early_exits)
-        registry.counter("transport.late_replies").inc(
-            transport.late_replies)
-        registry.counter("transport.routed_fanouts").inc(
-            transport.routed_fanouts)
+    for transport in transports:
         fanout_latency.observe_many(transport.fanout_latencies)
-    for pid in sorted(getattr(cluster, "directories", {})):
-        dstats = cluster.directories[pid].stats
-        registry.counter("directory.lookups").inc(dstats.lookups)
-        registry.counter("directory.hits").inc(dstats.hits)
-        registry.counter("directory.misses").inc(dstats.misses)
-        registry.counter("directory.evictions").inc(dstats.evictions)
-        registry.counter("directory.invalidations").inc(dstats.invalidations)
-    retained = 0
-    for pid in cluster.pids:
-        store = cluster.processors[pid].store
-        stats = getattr(store, "stats", None)
-        if stats is None:
-            continue  # a bare CopyStore was injected; no engine stats
-        registry.counter("storage.wal_appends").inc(stats.wal_appends)
-        registry.counter("storage.forced_syncs").inc(stats.forced_syncs)
-        registry.counter("storage.checkpoints").inc(stats.checkpoints)
-        registry.counter("storage.compacted_entries").inc(
-            stats.compacted_entries)
-        registry.counter("storage.truncated_reads").inc(
-            stats.truncated_reads)
-        registry.counter("storage.replayed_records").inc(
-            stats.replayed_records)
-        registry.counter("storage.replayed_bytes").inc(stats.replayed_bytes)
-        retained += store.retained_entries()
-    registry.gauge("storage.retained_entries").set(retained)
-    totals = cluster.total_metrics()
+    directories = cluster.directories
+    load_stats(registry, "directory.",
+               [directories[pid].stats for pid in sorted(directories)])
+    # a bare CopyStore (injected by tests) keeps no engine stats
+    engines = [p.store for p in processors
+               if getattr(p.store, "stats", None) is not None]
+    load_stats(registry, "storage.", [store.stats for store in engines])
+    registry.gauge("storage.retained_entries").set(
+        sum(store.retained_entries() for store in engines))
+    totals = load_stats(registry, "protocol.",
+                        [proto.metrics for proto in protocols])
     if totals is not None:
-        for name in ("vp_created", "vp_joined", "recoveries",
-                     "transfer_units", "catchup_fallbacks",
-                     "logical_reads", "logical_writes",
-                     "physical_read_rpcs", "physical_write_rpcs",
-                     "decisions_retired", "reshard_installs",
-                     "reshard_retires"):
-            registry.gauge(f"protocol.{name}").set(getattr(totals, name, 0))
         # The commit protocol's measured blocking window: sim time each
         # prepared participant spent in doubt before its outcome landed.
         registry.log_histogram("txn.in_doubt_dwell").observe_many(
-            getattr(totals, "in_doubt_dwell", []))
+            totals.in_doubt_dwell)
+    # prepared participants still waiting for an outcome when the run
+    # ends (a crashed processor's entries wait for its recovery).  Runs
+    # that stop mid-commit count their in-flight transactions too; in
+    # a run whose load ended well before it did, any entry is a leak.
+    registry.gauge("txn.in_doubt_left").set(sum(
+        len(proto.commit.in_doubt)
+        for processor, proto in zip(processors, protocols)
+        if processor.alive and hasattr(proto, "commit")))
     engine = getattr(cluster, "reshard_engine", None)
     if engine is not None:
-        for name, value in engine.stats.to_dict().items():
-            registry.counter(f"reshard.{name}").inc(value)
+        load_stats(registry, "reshard.", [engine.stats])
     if observer is not None and observer.latencies:
         registry.log_histogram("client.txn_latency").observe_many(
             observer.latencies)
     if sessions:
-        _collect_sessions(registry, cluster, sessions)
+        client = load_stats(registry, "client.",
+                            [session.stats for session in sessions])
+        registry.log_histogram("client.read_latency").observe_many(
+            client.read_latencies)
+        registry.log_histogram("client.staleness").observe_many(
+            client.staleness)
+        load_stats(registry, "client.cache.",
+                   [session.cache.stats for session in sessions
+                    if session.cache is not None])
+        # lease tables are per-processor (shared by that node's
+        # sessions), so they come from the protocols, not the sessions
+        load_stats(registry, "client.lease.",
+                   [proto.lease_table.stats for proto in protocols
+                    if proto.lease_table is not None])
     return registry
-
-
-def _collect_sessions(registry: MetricsRegistry, cluster: Cluster,
-                      sessions) -> None:
-    """Aggregate the client tier's per-session stats into the registry."""
-    read_latency = registry.log_histogram("client.read_latency")
-    staleness = registry.log_histogram("client.staleness")
-    for session in sessions:
-        stats = session.stats
-        registry.counter("client.programs").inc(stats.programs)
-        registry.counter("client.programs_committed").inc(stats.committed)
-        registry.counter("client.programs_aborted").inc(stats.aborted)
-        registry.counter("client.programs_local").inc(stats.local_programs)
-        registry.counter("client.reads").inc(stats.reads)
-        registry.counter("client.writes").inc(stats.writes)
-        registry.counter("client.lease_reads").inc(stats.lease_reads)
-        registry.counter("client.cache_reads").inc(stats.cache_reads)
-        registry.counter("client.remote_reads").inc(stats.remote_reads)
-        registry.counter("client.local_writes").inc(stats.local_writes)
-        registry.counter("client.remote_writes").inc(stats.remote_writes)
-        registry.counter("client.flush_writes").inc(stats.flush_writes)
-        read_latency.observe_many(stats.read_latencies)
-        staleness.observe_many(stats.staleness)
-        if session.cache is not None:
-            cache = session.cache.stats
-            registry.counter("client.cache.hits").inc(cache.hits)
-            registry.counter("client.cache.misses").inc(cache.misses)
-            registry.counter("client.cache.evictions").inc(cache.evictions)
-            registry.counter("client.cache.dirty_evictions").inc(
-                cache.dirty_evictions)
-            registry.counter("client.cache.invalidations").inc(
-                cache.invalidations)
-    # lease tables are per-processor (shared by that node's sessions),
-    # so collect them from the protocols, not the sessions
-    for pid in cluster.pids:
-        table = getattr(cluster.protocols[pid], "lease_table", None)
-        if table is None:
-            continue
-        stats = table.stats
-        registry.counter("client.lease.granted").inc(stats.granted)
-        registry.counter("client.lease.served").inc(stats.served)
-        registry.counter("client.lease.expired").inc(stats.expired)
-        registry.counter("client.lease.revoked").inc(stats.revoked)
-        registry.counter("client.lease.invalidated").inc(stats.invalidated)
 
 
 def _client(cluster: Cluster, pid: int, generator: WorkloadGenerator,

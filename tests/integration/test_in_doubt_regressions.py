@@ -173,3 +173,49 @@ def test_decide_in_the_resolver_spawn_instant(backend):
     assert TXN not in commit.resolving
     assert cluster.processor(2).store.peek("x")[0] == 42
     assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]
+
+
+def test_paxos_coordinator_own_in_doubt_entry_resolves_after_recovery():
+    """A Paxos Commit coordinator that is also a prepared participant
+    crashes after every ballot-0 vote is accepted and stays down while
+    the survivors decide.  Its zombie client cedes the outcome; the
+    coordinator's own in-doubt entry must still resolve once it
+    recovers.  The cede once dropped the prepare metadata with it, so
+    the resolver parked forever (found by the paxos hunt, seed 0,
+    campaigns 3, 35, 45 and 77) and the history record stayed active."""
+    from repro.workload.runner import collect_registry
+
+    config = ProtocolConfig(delta=4.0, storage_sync_cost=3.0,
+                            commit_backend="paxos")
+    cluster = Cluster(processors=3, seed=3, config=config, audit=True)
+    cluster.place("x", holders=[1, 2, 3], initial=0)
+    cluster.start()
+    cluster.run(until=5.0)
+    cluster.write_once(1, "x", 7)
+
+    def votes_accepted() -> bool:
+        for acceptor in (2, 3):
+            store = cluster.processor(acceptor).store
+            for rm in (1, 2, 3):
+                value = store.durable_cell(f"px:{TXN}:{rm}").value
+                if value is None or value[1] is None:
+                    return False
+        return True
+
+    while not votes_accepted():
+        cluster.sim.run(until=cluster.sim.now + 0.25)
+        assert cluster.sim.now < 120.0, "prepare phase never completed"
+    assert TXN in cluster.protocol(1).commit.in_doubt
+    timeout = cluster.config.access_timeout
+    cluster.injector.crash_at(cluster.sim.now + 0.1, 1)
+    recover_at = cluster.sim.now + 3 * timeout
+    cluster.injector.recover_at(recover_at, 1)
+    cluster.run(until=recover_at + 4 * timeout)
+
+    assert TXN not in cluster.protocol(1).commit.in_doubt, "in-doubt leak"
+    assert cluster.processor(1).store.peek("x")[0] == 7
+    assert cluster.history.txns[TXN].status == "committed"
+    gauges = collect_registry(cluster).snapshot()["gauges"]
+    assert gauges["txn.in_doubt_left"] == 0
+    assert cluster.auditor.ok, [str(v) for v in cluster.auditor.violations]
+    assert cluster.check_one_copy_serializable() is True

@@ -2,14 +2,17 @@
 
 import pytest
 
+from dataclasses import dataclass, field
+from typing import Dict, List
+
 from repro.obs.metrics import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     LogBucketHistogram,
     MetricsRegistry,
-    NullRegistry,
+    load_stats,
+    sum_stats,
 )
 
 
@@ -147,14 +150,6 @@ def test_registry_log_histogram_interned_and_kind_checked():
     assert registry.snapshot()["histograms"]["lat"]["count"] == 1
 
 
-def test_null_registry_log_histogram_is_inert():
-    registry = NullRegistry()
-    registry.log_histogram("x").observe(5.0)
-    registry.log_histogram("x").observe_many([1.0, 2.0])
-    assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                   "histograms": {}}
-
-
 def test_registry_interns_instruments():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
@@ -184,14 +179,31 @@ def test_registry_snapshot_sorted_and_json_ready():
     json.dumps(snapshot)  # must be serializable as-is
 
 
-def test_null_registry_is_inert():
-    registry = NullRegistry()
-    registry.counter("a").inc(5)
-    registry.gauge("b").set(2.0)
-    registry.histogram("c").observe(1.0)
-    assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                   "histograms": {}}
+@dataclass
+class _Stats:
+    sent: int = 0
+    by_kind: Dict[str, int] = field(default_factory=dict)
+    samples: List[float] = field(default_factory=list)
 
 
-def test_null_registry_shares_instruments():
-    assert NULL_REGISTRY.counter("x") is NULL_REGISTRY.counter("y")
+def test_sum_stats_adds_merges_and_concatenates():
+    a = _Stats(sent=1, by_kind={"read": 1}, samples=[1.0])
+    b = _Stats(sent=2, by_kind={"read": 2, "write": 1}, samples=[2.0])
+    total = sum_stats([a, b])
+    assert total == _Stats(sent=3, by_kind={"read": 3, "write": 1},
+                           samples=[1.0, 2.0])
+    assert sum_stats([]) is None
+
+
+def test_load_stats_names_counters_under_the_prefix():
+    registry = MetricsRegistry()
+    total = load_stats(registry, "msg.",
+                       [_Stats(sent=2, by_kind={"read": 2}, samples=[1.0]),
+                        _Stats(sent=1, by_kind={"probe": 1})])
+    assert total.samples == [1.0]
+    assert registry.snapshot() == {
+        "counters": {"msg.kind.probe": 1, "msg.kind.read": 2, "msg.sent": 3},
+        "gauges": {},
+        "histograms": {},
+    }
+    assert load_stats(registry, "none.", []) is None

@@ -71,6 +71,21 @@ def test_total_metrics_sums_processors():
     assert totals.local_reads == 3
 
 
+def test_total_metrics_is_a_fresh_total_on_one_processor():
+    cluster = Cluster(processors=1, seed=4)
+    cluster.place("x", holders=[1], initial=0)
+    cluster.start()
+    done = cluster.read_once(1, "x")
+    cluster.sim.run(until=done)
+    live = cluster.protocol(1).metrics
+    totals = cluster.total_metrics()
+    assert totals is not live
+    assert totals.logical_reads == live.logical_reads == 1
+    totals.logical_reads += 10
+    totals.by_reason["x"] = 1
+    assert live.logical_reads == 1 and "x" not in live.by_reason
+
+
 def test_submit_returns_process_with_outcome():
     cluster = Cluster(processors=3, seed=4)
     cluster.place("x", holders=[1, 2, 3], initial=5)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.workload.hunt import (
     HuntConfig,
     campaign_spec,
@@ -70,15 +71,33 @@ def test_verdict_of_prefers_auditor_violations():
         audit_violations = ({"invariant": "S2", "time": 1.0, "pid": 3,
                              "detail": "boom"},)
         one_copy_ok = True
+        registry = None
 
     verdict = verdict_of(FakeResult())
     assert verdict is not None and "S2" in verdict
+
+
+def test_verdict_of_convicts_in_doubt_left_at_live_processors():
+    registry = MetricsRegistry()
+
+    class FakeResult:
+        audit_violations = ()
+        one_copy_ok = True
+        cluster = None  # a pool result: only the registry crossed over
+
+    FakeResult.registry = registry
+    registry.gauge("txn.in_doubt_left").set(0)
+    assert verdict_of(FakeResult()) is None
+    registry.gauge("txn.in_doubt_left").set(2)
+    verdict = verdict_of(FakeResult())
+    assert verdict is not None and verdict.startswith("liveness: 2 ")
 
 
 def test_verdict_of_inconclusive_check_is_not_a_failure():
     class FakeResult:
         audit_violations = ()
         one_copy_ok = None
+        registry = None
 
     assert verdict_of(FakeResult()) is None
 
